@@ -151,6 +151,9 @@ class TPUPointAnalyzer:
     _reduced: np.ndarray | None = field(default=None, repr=False)
     _pool: WorkerPool | None = field(default=None, repr=False)
     _graph: NeighborGraph | None = field(default=None, repr=False)
+    _kmeans_fits: dict[int, kmeans_mod.KMeansResult] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -252,6 +255,7 @@ class TPUPointAnalyzer:
                 )
             span.set(k_count=len(results))
         _SWEEP_SECONDS.labels(algorithm="kmeans").observe(time.perf_counter() - began)
+        self._kmeans_fits.update(results)
         return results
 
     def kmeans_sweep(self, k_values: range | list[int] = kmeans_mod.K_SWEEP) -> dict[int, float]:
@@ -302,10 +306,15 @@ class TPUPointAnalyzer:
                     labels = np.asarray(table["labels"], dtype=int)
                     inertia = float(table["inertia"])
             if labels is None:
-                with obs.trace("analyzer.kmeans_fit", k=k):
-                    result = kmeans_mod.kmeans(
-                        matrix, k, seed=self.seed, pool=self.pool
-                    )
+                # The elbow sweep already fit this k on the same seed
+                # substreams; a refit would return the identical result.
+                result = self._kmeans_fits.get(k)
+                if result is None:
+                    with obs.trace("analyzer.kmeans_fit", k=k):
+                        result = kmeans_mod.kmeans(
+                            matrix, k, seed=self.seed, pool=self.pool
+                        )
+                    self._kmeans_fits[k] = result
                 labels, inertia = result.labels, result.inertia
                 if key is not None:
                     self.cache.put_table(

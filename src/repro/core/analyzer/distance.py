@@ -14,6 +14,21 @@ sizes the block; a budget too small for even a single row raises
 :class:`~repro.errors.AnalyzerMemoryError`, preserving the paper's
 observation that clustering hits memory limits where OLS does not.
 
+A row block is both the memory unit and the *gemm shape*: BLAS picks
+its kernel (and so its rounding) from the ``(rows x d) . (d x m)``
+shape, so :func:`block_rows` also fixes the bits of every distance.
+It caps a block at ``m`` rows, which makes a k-means assignment
+(``m = k`` centroids) run in k-row blocks. :func:`pairwise_sq_distances`
+therefore stacks its full blocks into one ``(B, rows, d)`` array and
+makes one ``np.matmul`` call over the stack: numpy calls BLAS once per
+2-D slice with the same shape as a single block, so every element is
+bit-identical to the block-at-a-time loop, while the broadcasts run
+once over the whole stack. The tail block (``n % rows`` rows) runs on
+its own, and the stack is capped by the same budget. The block must
+not simply grow instead: lifting the ``m``-row cap sends OpenBLAS
+0.3.31 down a different gemm path that rounds differently, which
+changed the output digests of the repo benchmark (``perfbench/``).
+
 The module also owns the analyzer's *distance-pass accounting*: the
 ``repro_analyzer_distance_passes_total`` counter increments once per
 full self-pairwise pass over a matrix. The DBSCAN min_samples sweep is
@@ -88,9 +103,14 @@ def _sq_block(
     block_sq: np.ndarray,
     other_sq: np.ndarray,
 ) -> np.ndarray:
-    """Squared distances of one row block against all of ``other``."""
+    """Squared distances of one row block against all of ``other``.
+
+    ``block`` may also be a ``(B, rows, d)`` stack of row blocks (with
+    ``block_sq`` shaped ``(B, rows)``): ``np.matmul`` then runs one
+    ``(rows x d) . (d x m)`` gemm per slice, exactly as for a lone block.
+    """
     cross = block @ other.T
-    sq = block_sq[:, None] + other_sq[None, :] - 2.0 * cross
+    sq = block_sq[..., None] + other_sq - 2.0 * cross
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -116,11 +136,25 @@ def pairwise_sq_distances(
     other = a if b is None else np.ascontiguousarray(other, dtype=float)
     a_sq = np.einsum("ij,ij->i", a, a)
     other_sq = a_sq if b is None else np.einsum("ij,ij->i", other, other)
-    out = np.empty((a.shape[0], other.shape[0]))
-    rows = block_rows(other.shape[0], memory_budget_bytes)
-    for start in range(0, a.shape[0], rows):
-        stop = min(start + rows, a.shape[0])
-        out[start:stop] = _sq_block(a[start:stop], other, a_sq[start:stop], other_sq)
+    n, m = a.shape[0], other.shape[0]
+    out = np.empty((n, m))
+    rows = block_rows(m, memory_budget_bytes)
+    # Full blocks go through _sq_block as stacks of up to ``group``
+    # blocks: one matmul call, the same gemm shape, the same bits.
+    budget = DEFAULT_BLOCK_BYTES if memory_budget_bytes is None else memory_budget_bytes
+    group = max(1, int(budget // (rows * max(m, 1) * _BYTES_PER_CELL)))
+    full = n - n % rows
+    for start in range(0, full, rows * group):
+        stop = min(start + rows * group, full)
+        blocks = (stop - start) // rows
+        out[start:stop] = _sq_block(
+            a[start:stop].reshape(blocks, rows, a.shape[1]),
+            other,
+            a_sq[start:stop].reshape(blocks, rows),
+            other_sq,
+        ).reshape(stop - start, m)
+    if full < n:
+        out[full:] = _sq_block(a[full:], other, a_sq[full:], other_sq)
     if b is None:
         DISTANCE_PASSES.labels().inc()
     return out

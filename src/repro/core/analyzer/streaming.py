@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.core.analyzer.kmeans import DEFAULT_N_INIT, K_SWEEP
+from repro.core.analyzer.kmeans import DEFAULT_N_INIT, K_SWEEP, KMeansResult
 from repro.core.analyzer.kmeans import kmeans as batch_kmeans
 from repro.core.analyzer.elbow import find_elbow
 from repro.core.analyzer.features import build_features
@@ -530,21 +530,27 @@ class StreamingAnalyzer:
         matrix = PCA(max_components=self.config.max_pca_dims).fit_transform(combined)
         k = self.config.k
         if k is None:
-            k = self._choose_k_exact(matrix)
-        result = batch_kmeans(matrix, k, seed=self.config.seed)
+            k, fits = self._choose_k_exact(matrix)
+            result = fits[k]
+        else:
+            result = batch_kmeans(matrix, k, seed=self.config.seed)
         return result.labels, {"k": k, "inertia": result.inertia, "mode": "exact"}
 
-    def _choose_k_exact(self, matrix: np.ndarray) -> int:
-        """The batch analyzer's elbow selection, same sweep, same seeds."""
+    def _choose_k_exact(
+        self, matrix: np.ndarray
+    ) -> tuple[int, dict[int, KMeansResult]]:
+        """The batch analyzer's elbow selection, same sweep, same seeds.
+
+        Returns the chosen k and the sweep's fits, so the caller reuses
+        the chosen fit instead of refitting it.
+        """
         feasible = [k for k in K_SWEEP if k <= matrix.shape[0]]
         if not feasible:
             raise AnalyzerError("no feasible k values for the sample count")
-        sweep = {
-            k: batch_kmeans(matrix, k, seed=self.config.seed).inertia
-            for k in feasible
-        }
-        ks = sorted(sweep)
-        return ks[find_elbow([float(k) for k in ks], [sweep[k] for k in ks])]
+        fits = {k: batch_kmeans(matrix, k, seed=self.config.seed) for k in feasible}
+        ks = sorted(fits)
+        k = ks[find_elbow([float(k) for k in ks], [fits[k].inertia for k in ks])]
+        return k, fits
 
     def _analyze_sketch(self) -> tuple[np.ndarray, dict]:
         """Never-materializing path: moments -> eigen PCA -> weighted k-means."""

@@ -1,10 +1,13 @@
 """TPUPoint-Analyzer orchestration, exports, checkpoint association."""
 
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.analyzer.analyzer import AnalyzerMemoryError, TPUPointAnalyzer
+from repro.core.analyzer.cache import AnalysisCache
 from repro.core.analyzer.checkpoints import associate_checkpoints, fast_forward_cost_us
 from repro.core.analyzer.visualize import chrome_trace
 from repro.errors import AnalyzerError
@@ -36,6 +39,37 @@ class TestOrchestration:
         assert result.num_phases == 3
         assert result.method == "kmeans"
         assert "inertia" in result.params
+
+    def test_elbow_phases_reuse_the_sweep_fit(self, analyzer, monkeypatch):
+        kmeans_mod = importlib.import_module("repro.core.analyzer.kmeans")
+        fits = []
+        real = kmeans_mod.kmeans
+
+        def counting(matrix, k, *args, **kwargs):
+            fits.append(k)
+            return real(matrix, k, *args, **kwargs)
+
+        monkeypatch.setattr(kmeans_mod, "kmeans", counting)
+        result = analyzer.kmeans_phases()
+        k = result.params["k"]
+        # One fit per swept k; the chosen k is not fit a second time.
+        assert sorted(fits) == sorted(set(fits))
+        refit = real(analyzer.reduced_matrix(), k, seed=analyzer.seed)
+        assert np.array_equal(result.labels, refit.labels)
+        assert repr(result.params["inertia"]) == repr(refit.inertia)
+
+    def test_cached_sweep_still_fits_the_chosen_k(self, tiny_run):
+        _, _, records = tiny_run
+        cache = AnalysisCache()
+        cold = TPUPointAnalyzer(records, cache=cache)
+        sweep = cold.kmeans_sweep()
+        # A second analyzer finds only the inertia table, not labels.
+        warm = TPUPointAnalyzer(records, cache=cache)
+        result = warm.kmeans_phases()
+        assert warm.kmeans_sweep() == sweep
+        plain = TPUPointAnalyzer(records).kmeans_phases()
+        assert np.array_equal(result.labels, plain.labels)
+        assert result.params == plain.params
 
     def test_kmeans_elbow_choice_in_range(self, analyzer):
         k = analyzer.choose_k(range(1, 10))

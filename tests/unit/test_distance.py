@@ -1,9 +1,12 @@
 """The blocked shared distance kernel and its pass accounting."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.analyzer.distance import (
+    DEFAULT_BLOCK_BYTES,
     NeighborGraph,
     block_rows,
     build_neighbor_graph,
@@ -19,6 +22,32 @@ from repro.errors import AnalyzerMemoryError, ClusteringError
 def naive_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The O(n^2 d) broadcast the kernel replaced — the reference."""
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def _loop_sq(
+    a: np.ndarray, b: np.ndarray, *, memory_budget_bytes: float | None = None
+) -> np.ndarray:
+    """The one-block-at-a-time kernel loop, kept as the bitwise reference.
+
+    Blocks of at most ``m`` rows under the budget, the Gram arithmetic,
+    one 2-D matmul per block: the stacked kernel must match it bit for
+    bit. The rows are worked out here, not by ``block_rows``, so a change
+    to the block shape shows up as a mismatch.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    a_sq = np.einsum("ij,ij->i", a, a)
+    b_sq = np.einsum("ij,ij->i", b, b)
+    out = np.empty((a.shape[0], b.shape[0]))
+    budget = DEFAULT_BLOCK_BYTES if memory_budget_bytes is None else memory_budget_bytes
+    rows = max(1, min(int(budget // (b.shape[0] * 24)), b.shape[0]))
+    for start in range(0, a.shape[0], rows):
+        stop = min(start + rows, a.shape[0])
+        cross = a[start:stop] @ b.T
+        sq = a_sq[start:stop][:, None] + b_sq[None, :] - 2.0 * cross
+        np.maximum(sq, 0.0, out=sq)
+        out[start:stop] = sq
+    return out
 
 
 @pytest.fixture
@@ -60,6 +89,67 @@ class TestPairwise:
             pairwise_sq_distances(matrix[0])
         with pytest.raises(ClusteringError):
             pairwise_sq_distances(matrix, matrix[:, :2])
+
+
+class TestStackedBlocks:
+    """Full row blocks run as one stacked matmul, bit-identical to the loop."""
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_bitwise_equal_to_block_loop(self, k):
+        rng = np.random.default_rng(1000 + k)
+        for n in (k, k + 1, 3 * k - 1, 722, 1000):
+            for d in (1, 3, 10):
+                a = rng.normal(size=(n, d)) * 10.0
+                centers = rng.normal(size=(k, d)) * 3.0
+                got = pairwise_sq_distances(a, centers)
+                assert np.array_equal(got, _loop_sq(a, centers)), (n, d)
+
+    def test_kmeans_matches_block_loop(self, monkeypatch):
+        # The package re-exports the function under the module's name.
+        kmeans_mod = importlib.import_module("repro.core.analyzer.kmeans")
+        rng = np.random.default_rng(11)
+        matrix = np.concatenate(
+            [rng.normal(loc=c, size=(240, 6)) for c in (-4.0, 0.0, 5.0)]
+        )
+        stacked = [kmeans_mod.kmeans(matrix, k, seed=3) for k in (1, 4, 9, 15)]
+        monkeypatch.setattr(kmeans_mod, "pairwise_sq_distances", _loop_sq)
+        looped = [kmeans_mod.kmeans(matrix, k, seed=3) for k in (1, 4, 9, 15)]
+        for got, want in zip(stacked, looped):
+            assert np.array_equal(got.labels, want.labels)
+            assert repr(got.inertia) == repr(want.inertia)
+
+    def test_default_budget_needs_few_block_calls(self, monkeypatch):
+        from repro.core.analyzer import distance
+
+        calls = []
+        real = distance._sq_block
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(distance, "_sq_block", counting)
+        a = np.random.default_rng(2).normal(size=(1000, 10))
+        pairwise_sq_distances(a, a[:7])
+        # One stacked call over 142 seven-row blocks, one 6-row tail.
+        assert calls == [(142, 7, 10), (6, 10)]
+
+    def test_small_budget_several_groups_bitwise(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(1003, 3)) * 4.0
+        centers = rng.normal(size=(5, 3))
+        budget = 3 * 5 * 5 * 24  # three 5-row blocks per stacked call
+        assert block_rows(5, budget) == 5
+        got = pairwise_sq_distances(a, centers, memory_budget_bytes=budget)
+        assert np.array_equal(
+            got, _loop_sq(a, centers, memory_budget_bytes=budget)
+        )
+
+    def test_budget_below_one_row_still_raises(self):
+        a = np.ones((50, 3))
+        centers = np.zeros((8, 3))
+        with pytest.raises(AnalyzerMemoryError):
+            pairwise_sq_distances(a, centers, memory_budget_bytes=8 * 24 - 1)
 
 
 class TestBlockRows:

@@ -127,6 +127,24 @@ class TestExactEquivalence:
         assert streaming.params["k"] == batch.params["k"]
         assert streaming.method == "kmeans-streaming-exact"
 
+    def test_elbow_choice_reuses_the_sweep_fit(self, monkeypatch):
+        from repro.core.analyzer import streaming
+
+        records = _phased_records()
+        batch = TPUPointAnalyzer(records).kmeans_phases()
+        fits = []
+        real = streaming.batch_kmeans
+
+        def counting(matrix, k, *args, **kwargs):
+            fits.append(k)
+            return real(matrix, k, *args, **kwargs)
+
+        monkeypatch.setattr(streaming, "batch_kmeans", counting)
+        result = _fold_all(StreamingAnalyzer(), records).analyze()
+        assert sorted(fits) == sorted(set(fits))  # no refit of the chosen k
+        assert np.array_equal(result.labels, batch.labels)
+        assert repr(result.params["inertia"]) == repr(batch.params["inertia"])
+
     def test_explicit_k_matches_batch(self):
         records = _phased_records()
         batch = TPUPointAnalyzer(records).kmeans_phases(k=2)
